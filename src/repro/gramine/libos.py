@@ -22,7 +22,6 @@ import math
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.clock import NS_PER_S
-from repro.sim.events import Event
 
 from repro.gramine.manifest import GramineManifest
 from repro.hw.host import PhysicalHost
@@ -57,15 +56,17 @@ class GramineError(Exception):
 class _CompiledProfile:
     """A syscall profile precompiled by ``compile_syscalls``.
 
-    Holds the original specs (for the per-call fallback paths) plus every
-    loop-invariant the fused replay needs: per-spec rounded OCALL cost
-    components with their shared event-detail dicts, aggregate exitless
-    charges, byte totals and per-name stat increments.
+    Holds the original specs (for the per-call fallback path) plus every
+    loop-invariant the fused replay needs: per-spec rounded OCALL costs,
+    the shared event-detail dicts, the span rows a traced replay records,
+    aggregate exitless charges, byte totals and per-name stat increments.
     """
 
     __slots__ = (
         "specs",
-        "per_spec",
+        "costs",
+        "details",
+        "trace_rows",
         "name_counts",
         "count",
         "exitless_cycles",
@@ -77,7 +78,9 @@ class _CompiledProfile:
     def __init__(
         self,
         specs: List[Tuple[str, int, int]],
-        per_spec: List[Tuple[int, int, Dict[str, Any]]],
+        costs: List[Tuple[int, int]],
+        details: List[Dict[str, Any]],
+        trace_rows: Tuple[Tuple[str, int, int, int], ...],
         name_counts: Tuple[Tuple[str, int], ...],
         exitless_cycles: int,
         exitless_ns: int,
@@ -85,7 +88,9 @@ class _CompiledProfile:
         bytes_in_total: int,
     ) -> None:
         self.specs = specs
-        self.per_spec = per_spec
+        self.costs = costs
+        self.details = details
+        self.trace_rows = trace_rows
         self.name_counts = name_counts
         self.count = len(specs)
         self.exitless_cycles = exitless_cycles
@@ -131,13 +136,13 @@ class GramineEnclaveRuntime(Runtime):
         # plus the hot RNG streams resolved once instead of per syscall.
         self._spec_costs: Dict[Tuple[str, int, int], Tuple[int, int, int, int]] = {}
         # Per-spec (shield_ns, copy_ns, host_ns, exitless_ns) decomposition
-        # for span tags — only populated when a tracer is installed.
+        # for span tags, filled alongside ``_spec_costs``.
         self._trace_component_ns: Dict[
             Tuple[str, int, int], Tuple[int, int, int, int]
         ] = {}
         self._transition_stream = host.rng.stream(f"{enclave.build.name}.transition")
-        # Shared event-detail dicts (one per syscall name) for the fused
-        # batch path: every sgx.ocall event of a spec carries the same
+        # Shared event-detail dicts (one per syscall name): every
+        # sgx.ocall event of a syscall carries the same
         # {"enclave": ..., "syscall": ...} payload, so one frozen dict per
         # name replaces a fresh two-entry dict per OCALL.
         self._event_details: Dict[str, Dict[str, Any]] = {}
@@ -293,6 +298,15 @@ class GramineEnclaveRuntime(Runtime):
         )
         return cost
 
+    def _event_detail(self, name: str) -> Dict[str, Any]:
+        """The shared ``sgx.ocall`` event payload of syscall ``name``."""
+        detail = self._event_details.get(name)
+        if detail is None:
+            detail = self._event_details[name] = {
+                "enclave": self.enclave.build.name, "syscall": name,
+            }
+        return detail
+
     def syscall(self, name: str, bytes_out: int = 0, bytes_in: int = 0) -> None:
         """One simulated syscall: shielding + EPC pressure + OCALL.
 
@@ -309,17 +323,16 @@ class GramineEnclaveRuntime(Runtime):
         if cost is None:
             cost = self._spec_cost(spec)
         # Span tracing (repro.obs): one span per OCALL tagged with the
-        # paper's cost taxonomy.  The untraced hot path pays only the
-        # attribute read and None check (~1080 OCALLs per registration).
+        # paper's cost taxonomy.  The untraced path pays only the
+        # attribute read and None check; compiled profiles (261 OCALLs
+        # per SGX registration, 87 per P-AKA module) record their spans
+        # in bulk instead (see syscall_profile).
         tracer = self.host.tracer
         if tracer is not None and not tracer.enabled:
             tracer = None
         span = None
         if tracer is not None:
-            components = self._trace_component_ns.get(spec)
-            if components is None:
-                self._spec_cost(spec)
-                components = self._trace_component_ns[spec]
+            components = self._trace_component_ns[spec]
             span = tracer.begin(
                 name, kind="sgx.ocall",
                 runtime=self.name, enclave=self.enclave.build.name,
@@ -362,9 +375,8 @@ class GramineEnclaveRuntime(Runtime):
             stats.bytes_copied_out += bytes_out
             stats.bytes_copied_in += bytes_in
             host = self.host
-            host.events.emit(
-                host.clock.now_ns, "sgx.ocall",
-                enclave=enclave.build.name, syscall=name,
+            host.events.emit_shared(
+                host.clock.now_ns, "sgx.ocall", self._event_detail(name)
             )
             if span is not None:
                 tracer.end(
@@ -375,131 +387,24 @@ class GramineEnclaveRuntime(Runtime):
                 )
 
     def syscall_batch(self, specs: Iterable[Tuple[str, int, int]]) -> None:
-        """Fused accounting for a fixed syscall sequence.
-
-        The HTTP layer replays the same ~90-spec profiles for every
-        request, so the per-call fixed costs of :meth:`syscall` (context
-        checks, pressure probes, per-component rounding, one clock update
-        and one stats/event round-trip per call) dominate host time.  This
-        override hoists everything loop-invariant, draws the per-call
-        (EENTER, EEXIT) pairs from the same stream in the same order,
-        accumulates the pre-rounded cycle/ns charges, and applies them in
-        one ``spend_preconverted`` — every RNG draw, event timestamp, stat
-        total and the final clock value are bit-identical to the unfused
-        per-call sequence.
-
-        The fusion is only valid while ``_epc_pressure`` is inert (no
-        global EPC contention, not degraded, resident set at or under the
-        baseline — the state in which it draws nothing and charges
-        nothing) and no tracer is armed; otherwise this falls back to the
-        exact per-call path.
-        """
-        tracer = self.host.tracer
-        if tracer is not None and tracer.enabled:
-            for name, bytes_out, bytes_in in specs:
-                self.syscall(name, bytes_out, bytes_in)
-            return
-        context = self._app_context
-        context._check_open()
-        enclave = self.enclave
-        manager = enclave.epc_manager
-        if (
-            manager.resident_pages
-            >= self._GLOBAL_CONTENTION_THRESHOLD * manager.capacity_pages
-            or self.degraded
-            or enclave.epc_region.resident_pages > _BASELINE_RESIDENT_PAGES
-        ):
-            # Pressure draws RNG / charges cycles per call: stay unfused.
-            for name, bytes_out, bytes_in in specs:
-                self.syscall(name, bytes_out, bytes_in)
-            return
-
-        spec_costs = self._spec_costs
-        stats = enclave.stats
-        by_syscall = stats.ocalls_by_syscall
-        cpu = self.host.cpu
-        acc_cycles = 0
-        acc_ns = 0
-        count = 0
-
-        if self.exitless:
-            # No transitions, no per-call RNG, no events: pure accumulation.
-            for spec in specs:
-                cost = spec_costs.get(spec)
-                if cost is None:
-                    cost = self._spec_cost(spec)
-                acc_cycles += cost[2]
-                acc_ns += cost[3]
-                count += 1
-                name = spec[0]
-                by_syscall[name] = by_syscall.get(name, 0) + 1
-            cpu.spend_preconverted(acc_cycles, acc_ns)
-            stats.ocalls += count
-            return
-
-        model = enclave.cost_model
-        uniform = self._transition_stream.uniform
-        pair_min = model.transition_pair_min_cycles
-        pair_max = model.transition_pair_max_cycles
-        hz = cpu.spec.frequency_hz
-        host = self.host
-        emit_shared = host.events.emit_shared
-        base_ns = host.clock.now_ns
-        event_details = self._event_details
-        enclave_name = enclave.build.name
-        bytes_out_total = 0
-        bytes_in_total = 0
-
-        for spec in specs:
-            cost = spec_costs.get(spec)
-            if cost is None:
-                cost = self._spec_cost(spec)
-            # Inlined draw_transition_pair_from + round_cycle_cost: same
-            # stream, same draw, same truncation/rounding expressions.
-            total = uniform(pair_min, pair_max)
-            eenter = int(total * 0.55)
-            eexit = int(total * 0.45)
-            acc_cycles += cost[0] + eenter + eexit
-            acc_ns += (
-                cost[1]
-                + int(round(eenter * NS_PER_S / hz))
-                + int(round(eexit * NS_PER_S / hz))
-            )
-            count += 1
-            name = spec[0]
-            by_syscall[name] = by_syscall.get(name, 0) + 1
-            bytes_out_total += spec[1]
-            bytes_in_total += spec[2]
-            detail = event_details.get(name)
-            if detail is None:
-                detail = event_details[name] = {
-                    "enclave": enclave_name, "syscall": name,
-                }
-            # The unfused path emits after spending, so the event carries
-            # the post-charge clock: base + everything accumulated so far.
-            emit_shared(base_ns + acc_ns, "sgx.ocall", detail)
-
-        cpu.spend_preconverted(acc_cycles, acc_ns)
-        stats.eexits += count
-        stats.eenters += count
-        stats.ocalls += count
-        stats.bytes_copied_out += bytes_out_total
-        stats.bytes_copied_in += bytes_in_total
+        """A one-off syscall sequence: compiled, then replayed once."""
+        self.syscall_profile(self.compile_syscalls(specs))
 
     def compile_syscalls(self, specs: Iterable[Tuple[str, int, int]]) -> object:
         """Precompile a syscall profile for :meth:`syscall_profile`.
 
-        Everything :meth:`syscall_batch` looks up per spec — the rounded
-        cost components, the shared event-detail dict, the per-name stat
-        buckets, the byte totals — is resolved once here, so replay only
-        pays for what genuinely varies per call: the (EENTER, EEXIT)
-        RNG draw and the running event timestamp.
+        Everything the per-call path looks up per spec — the rounded cost
+        components, the shared event-detail dict, the span-tag
+        decomposition, the per-name stat buckets, the byte totals — is
+        resolved once here, so replay only pays for what genuinely varies
+        per call: the (EENTER, EEXIT) RNG draw and the running timestamp.
         """
         specs = list(specs)
         spec_costs = self._spec_costs
-        event_details = self._event_details
-        enclave_name = self.enclave.build.name
-        per_spec: List[Tuple[int, int, Dict[str, Any]]] = []
+        components = self._trace_component_ns
+        costs: List[Tuple[int, int]] = []
+        details: List[Dict[str, Any]] = []
+        trace_rows: List[Tuple[str, int, int, int]] = []
         name_counts: Dict[str, int] = {}
         exitless_cycles = 0
         exitless_ns = 0
@@ -510,12 +415,10 @@ class GramineEnclaveRuntime(Runtime):
             if cost is None:
                 cost = self._spec_cost(spec)
             name = spec[0]
-            detail = event_details.get(name)
-            if detail is None:
-                detail = event_details[name] = {
-                    "enclave": enclave_name, "syscall": name,
-                }
-            per_spec.append((cost[0], cost[1], detail))
+            costs.append((cost[0], cost[1]))
+            details.append(self._event_detail(name))
+            shield_ns, copy_ns, host_ns, _ = components[spec]
+            trace_rows.append((name, shield_ns, copy_ns, host_ns))
             exitless_cycles += cost[2]
             exitless_ns += cost[3]
             bytes_out_total += spec[1]
@@ -523,7 +426,9 @@ class GramineEnclaveRuntime(Runtime):
             name_counts[name] = name_counts.get(name, 0) + 1
         return _CompiledProfile(
             specs,
-            per_spec,
+            costs,
+            details,
+            tuple(trace_rows),
             tuple(name_counts.items()),
             exitless_cycles,
             exitless_ns,
@@ -532,22 +437,36 @@ class GramineEnclaveRuntime(Runtime):
         )
 
     def syscall_profile(self, handle: object) -> None:
-        """Replay a compiled profile, bit-identical to the uncompiled batch.
+        """Replay a compiled profile, bit-identical to the per-call path.
 
-        Falls back to the exact per-call path under an armed tracer or
-        non-inert EPC pressure, exactly like :meth:`syscall_batch`.
+        The per-call fixed costs of :meth:`syscall` (context checks,
+        pressure probes, per-component rounding, one clock update and one
+        stats/event round-trip per call) dominate host time, so the replay
+        draws the per-call (EENTER, EEXIT) pairs from the same stream in
+        the same order, accumulates the pre-rounded cycle/ns charges and
+        applies them in one ``spend_preconverted``.  Every RNG draw,
+        event timestamp, stat total and the final clock value equal the
+        per-call sequence's.  Under an armed tracer the replay records
+        its OCALL spans as one run (:meth:`Tracer.add_ocall_run`), built
+        into ``sgx.ocall`` spans only when the trace is read.
+
+        The fusion is only valid while ``_epc_pressure`` is inert (no
+        global EPC contention, not degraded, resident set at or under the
+        baseline — the state in which it draws nothing and charges
+        nothing).  Under pressure, and under an armed tracer when the
+        runtime is exitless or no span is open, this falls back to the
+        exact per-call path.
         """
         profile: _CompiledProfile = handle  # type: ignore[assignment]
-        tracer = self.host.tracer
-        if tracer is not None and tracer.enabled:
-            for name, bytes_out, bytes_in in profile.specs:
-                self.syscall(name, bytes_out, bytes_in)
-            return
         self._app_context._check_open()
+        tracer = self.host.tracer
+        if tracer is not None and not tracer.enabled:
+            tracer = None
         enclave = self.enclave
         manager = enclave.epc_manager
         if (
-            manager.resident_pages
+            (tracer is not None and (self.exitless or not tracer.depth))
+            or manager.resident_pages
             >= self._GLOBAL_CONTENTION_THRESHOLD * manager.capacity_pages
             or self.degraded
             or enclave.epc_region.resident_pages > _BASELINE_RESIDENT_PAGES
@@ -562,6 +481,7 @@ class GramineEnclaveRuntime(Runtime):
         count = profile.count
 
         if self.exitless:
+            # No transitions, no per-call RNG, no events: pure accumulation.
             cpu.spend_preconverted(profile.exitless_cycles, profile.exitless_ns)
             stats.ocalls += count
             for name, n in profile.name_counts:
@@ -577,42 +497,31 @@ class GramineEnclaveRuntime(Runtime):
         pair_span = model.transition_pair_max_cycles - pair_min
         hz = cpu.spec.frequency_hz
         host = self.host
-        events = host.events
         base_ns = host.clock.now_ns
         acc_cycles = 0
         acc_ns = 0
-
-        append_raw = events.bulk_appender(count)
-        if append_raw is not None:
-            # No trim can fire this batch: append Events directly and
-            # settle the category index once for the whole profile.
-            for cyc, ns, detail in profile.per_spec:
-                total = pair_min + pair_span * random_()
-                eenter = int(total * 0.55)
-                eexit = int(total * 0.45)
-                acc_cycles += cyc + eenter + eexit
-                acc_ns += (
-                    ns
-                    + int(round(eenter * NS_PER_S / hz))
-                    + int(round(eexit * NS_PER_S / hz))
-                )
-                append_raw(Event(base_ns + acc_ns, "sgx.ocall", detail))
-            events.bump_count("sgx.ocall", count)
-        else:
-            emit_shared = events.emit_shared
-            for cyc, ns, detail in profile.per_spec:
-                total = pair_min + pair_span * random_()
-                eenter = int(total * 0.55)
-                eexit = int(total * 0.45)
-                acc_cycles += cyc + eenter + eexit
-                acc_ns += (
-                    ns
-                    + int(round(eenter * NS_PER_S / hz))
-                    + int(round(eexit * NS_PER_S / hz))
-                )
-                emit_shared(base_ns + acc_ns, "sgx.ocall", detail)
+        # Each OCALL's end timestamp: the per-call path emits its event
+        # after spending, so it carries the post-charge clock.
+        ends: List[int] = []
+        end = ends.append
+        for cyc, ns in profile.costs:
+            total = pair_min + pair_span * random_()
+            eenter = int(total * 0.55)
+            eexit = int(total * 0.45)
+            acc_cycles += cyc + eenter + eexit
+            acc_ns += (
+                ns
+                + int(round(eenter * NS_PER_S / hz))
+                + int(round(eexit * NS_PER_S / hz))
+            )
+            end(base_ns + acc_ns)
 
         cpu.spend_preconverted(acc_cycles, acc_ns)
+        host.events.emit_series("sgx.ocall", ends, profile.details)
+        if tracer is not None:
+            tracer.add_ocall_run(
+                self.name, enclave.build.name, profile.trace_rows, base_ns, ends
+            )
         stats.eexits += count
         stats.eenters += count
         stats.ocalls += count

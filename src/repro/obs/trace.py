@@ -40,6 +40,23 @@ healthy ones are head-sampled 1/N by trace-id hash).
 
 Tracing never advances the clock — a traced run spends exactly the same
 simulated nanoseconds as an untraced one.
+
+Compiled OCALL profiles are recorded lazily.  When the Gramine runtime
+replays a compiled syscall profile under an open span, it does not open
+one span per OCALL: :meth:`Tracer.add_ocall_run` appends a single
+:class:`OcallRun` record to the open span's children instead.  The
+record holds the profile's per-OCALL ``(name, shield_ns, copy_ns,
+host_ns)`` rows and each OCALL's end timestamp, and reserves the span-id
+sequence numbers its OCALLs would have taken.  The ``sgx.ocall`` spans
+are rebuilt from it only when a tree is read: by :meth:`Span.to_dict`
+(so :meth:`TraceStore.offer` builds them for kept traces only), and when
+a root closes that no store will be offered (no store attached, or no
+trace context open).  A rebuilt span is identical to the one the
+per-call path would have built — name, kind, tags, start/end ns and
+trace/span/parent ids — because ``transition_ns`` is exactly the span's
+duration minus its three deterministic components.  Until then, a tree
+whose root closed inside a trace context with a store attached holds
+run records among its children; :func:`materialize` expands them.
 """
 
 from __future__ import annotations
@@ -108,6 +125,7 @@ class Span:
         regardless of the tag order at the instrumentation site.  When the
         span carries trace identity (tracer armed with a ``trace_seed``)
         the ``trace_id`` / ``span_id`` / ``parent_id`` fields are included.
+        OCALL run records among the children are expanded in place first.
         """
         payload: Dict[str, Any] = {
             "name": self.name,
@@ -115,7 +133,7 @@ class Span:
             "start_ns": self.start_ns,
             "end_ns": self.end_ns,
             "tags": {key: self.tags[key] for key in sorted(self.tags)},
-            "children": [child.to_dict() for child in self.children],
+            "children": [child.to_dict() for child in _expand_runs(self)],
         }
         if self.trace_id is not None:
             payload["trace_id"] = self.trace_id
@@ -130,15 +148,115 @@ class Span:
         )
 
 
-# Freelist of recycled Span objects, shared across tracers.  An armed
-# tracer allocates one Span per instrumentation point (~1.1k per SGX
-# registration, most of them sgx.ocall leaves); recycling a consumed tree
-# lets the next trace reuse the objects instead of exercising the
-# allocator, which is where most of the armed-tracer host overhead goes.
-# ``Tracer.begin`` fully re-initialises every slot (name, kind, both
-# timestamps, tags, children), so a recycled span can never leak state.
+# Freelist of recycled Span objects, shared across tracers.  An SGX
+# re-registration has 294 spans, 261 of them sgx.ocall leaves; most of
+# those stay folded in OcallRun records and are only built for traces
+# that are read.  Recycling a consumed tree lets the next trace reuse the
+# objects instead of exercising the allocator.  ``_take_span`` fully
+# re-initialises every slot (name, kind, both timestamps, tags; the
+# children list was emptied on recycle), so a recycled span can never
+# leak state.
 _SPAN_POOL: List[Span] = []
 _SPAN_POOL_CAP = 8192
+
+
+def _take_span(name: str, kind: str, start_ns: int, tags: Dict[str, Any]) -> Span:
+    """A span from the freelist (or a new one) owning the ``tags`` dict."""
+    pool = _SPAN_POOL
+    if pool:
+        span = pool.pop()
+        span.name = name
+        span.kind = kind
+        span.start_ns = start_ns
+        span.end_ns = start_ns
+        span.tags = tags
+        return span
+    return Span(name, kind, start_ns, **tags)
+
+
+class OcallRun:
+    """One compiled OCALL profile replay, standing for its ``sgx.ocall`` spans.
+
+    ``rows`` holds one ``(name, shield_ns, copy_ns, host_ns)`` tuple per
+    OCALL (shared by every replay of the profile) and ``ends`` each
+    OCALL's end timestamp; OCALL ``i`` starts where OCALL ``i - 1`` ended
+    (the first at ``start_ns``).  ``seq`` is the span-id sequence number
+    of the first OCALL.  See the module docstring for when it is expanded.
+    """
+
+    __slots__ = (
+        "runtime", "enclave", "rows", "start_ns", "ends",
+        "trace_id", "seq", "parent_id",
+    )
+
+    def __init__(
+        self,
+        runtime: str,
+        enclave: str,
+        rows: Tuple[Tuple[str, int, int, int], ...],
+        start_ns: int,
+        ends: List[int],
+        trace_id: Optional[str],
+        seq: int,
+        parent_id: Optional[str],
+    ) -> None:
+        self.runtime = runtime
+        self.enclave = enclave
+        self.rows = rows
+        self.start_ns = start_ns
+        self.ends = ends
+        self.trace_id = trace_id
+        self.seq = seq
+        self.parent_id = parent_id
+
+    def spans(self) -> List[Span]:
+        """The ``sgx.ocall`` spans the per-call path would have built."""
+        runtime = self.runtime
+        enclave = self.enclave
+        trace_id = self.trace_id
+        parent_id = self.parent_id
+        seq = self.seq
+        start = self.start_ns
+        spans = []
+        for (name, shield_ns, copy_ns, host_ns), end in zip(self.rows, self.ends):
+            span = _take_span(name, "sgx.ocall", start, {
+                "runtime": runtime, "enclave": enclave,
+                "shield_ns": shield_ns, "copy_ns": copy_ns, "host_ns": host_ns,
+                "transition_ns": end - start - shield_ns - copy_ns - host_ns,
+            })
+            span.end_ns = end
+            span.trace_id = trace_id
+            if trace_id is not None:
+                span.span_id = span_context_id(trace_id, seq)
+                seq += 1
+            else:
+                span.span_id = None
+            span.parent_id = parent_id
+            spans.append(span)
+            start = end
+        return spans
+
+
+def _expand_runs(span: Span) -> List[Span]:
+    """``span.children`` with any OCALL run records expanded in place."""
+    children = span.children
+    if any(type(child) is OcallRun for child in children):
+        expanded: List[Span] = []
+        for child in children:
+            if type(child) is OcallRun:
+                expanded.extend(child.spans())
+            else:
+                expanded.append(child)
+        children[:] = expanded
+    return children
+
+
+def materialize(root: Span) -> Span:
+    """Expand every OCALL run record in ``root``'s tree into its spans."""
+    stack = [root]
+    while stack:
+        stack.extend(_expand_runs(stack.pop()))
+    return root
 
 
 class Tracer:
@@ -174,26 +292,16 @@ class Tracer:
         self._trace_attempt = 0
         self._span_seq = 0
         self._attempts: Dict[str, int] = {}
+        # Set while the open tree holds OcallRun records.
+        self._runs_pending = False
 
     # ------------------------------------------------------------- spans
 
     def begin(self, name: str, kind: str = "", **tags: Any) -> Span:
         """Open a span at the current simulated instant."""
-        pool = _SPAN_POOL
-        if pool:
-            # Freelist hit: overwrite every slot.  ``tags`` is a fresh
-            # dict built for this call, so taking ownership of it (the
-            # same thing the constructor does) cannot leak prior tags;
-            # the children list was emptied when the span was recycled.
-            span = pool.pop()
-            span.name = name
-            span.kind = kind
-            now = self.clock.now_ns
-            span.start_ns = now
-            span.end_ns = now
-            span.tags = tags
-        else:
-            span = Span(name, kind, self.clock.now_ns, **tags)
+        # ``tags`` is a fresh dict built for this call, so the span can
+        # take ownership of it without leaking prior tags.
+        span = _take_span(name, kind, self.clock.now_ns, tags)
         trace_id = self._trace_id
         if trace_id is not None:
             seq = self._span_seq
@@ -211,6 +319,32 @@ class Tracer:
             self.roots.append(span)
         self._stack.append(span)
         return span
+
+    def add_ocall_run(
+        self,
+        runtime: str,
+        enclave: str,
+        rows: Tuple[Tuple[str, int, int, int], ...],
+        start_ns: int,
+        ends: List[int],
+    ) -> None:
+        """Record ``len(ends)`` finished OCALLs under the innermost open span.
+
+        Stands for the ``sgx.ocall`` spans ``begin``/``end`` would have
+        opened and closed back to back: reserves their span-id sequence
+        numbers and appends one :class:`OcallRun` to the open span's
+        children.  Requires an open span.
+        """
+        parent = self._stack[-1]
+        trace_id = self._trace_id
+        seq = self._span_seq
+        if trace_id is not None:
+            self._span_seq = seq + len(ends)
+        parent.children.append(OcallRun(
+            runtime, enclave, rows, start_ns, ends, trace_id, seq,
+            parent.span_id if trace_id is not None else None,
+        ))
+        self._runs_pending = True
 
     def annotate(self, **tags: Any) -> None:
         """Tag the innermost open span (no new span, no clock read).
@@ -281,6 +415,12 @@ class Tracer:
         span.end_ns = self.clock.now_ns
         if tags:
             span.tags.update(tags)
+        if self._runs_pending and not self._stack:
+            # A root closed.  Only a tree that will be offered to the
+            # store stays folded; every other tree is read as Spans.
+            self._runs_pending = False
+            if self.store is None or self._trace_id is None:
+                materialize(span)
         return span
 
     @contextmanager
@@ -316,6 +456,8 @@ def _recycle_tree(span: Span) -> None:
     stack = [span]
     while stack:
         current = stack.pop()
+        if type(current) is OcallRun:
+            continue  # never built, nothing to pool
         children = current.children
         if children:
             stack.extend(children)

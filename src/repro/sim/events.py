@@ -21,7 +21,8 @@ appends at campaign scale:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from itertools import repeat
+from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence
 
 
 class Event:
@@ -121,12 +122,33 @@ class EventLog:
                     del counts[old_category]
         return event
 
+    def emit_series(
+        self,
+        category: str,
+        timestamps: Sequence[int],
+        details: Sequence[Dict[str, Any]],
+    ) -> None:
+        """:meth:`emit_shared` for each ``(timestamp, detail)`` pair, in order.
+
+        The fused Gramine OCALL replay emits one event per OCALL.  When
+        no capacity trim can fire, the events are appended in one pass
+        and the category index is settled once.
+        """
+        n = len(timestamps)
+        if self.bulk_appender(n) is None:
+            emit_shared = self.emit_shared
+            for timestamp_ns, detail in zip(timestamps, details):
+                emit_shared(timestamp_ns, category, detail)
+            return
+        self._events.extend(map(Event, timestamps, repeat(category, n), details))
+        self.bump_count(category, n)
+
     def bulk_appender(self, n: int):
         """The deque's bound ``append`` when ``n`` appends cannot trim.
 
-        Hot fused emitters (the Gramine OCALL batch) construct
-        :class:`Event` objects themselves and append them directly,
-        settling the category index once per batch via :meth:`bump_count`.
+        Fused emitters (:meth:`emit_series`) construct :class:`Event`
+        objects themselves and append them directly, settling the
+        category index once per batch via :meth:`bump_count`.
         That is exact whenever the batch cannot trigger a capacity trim —
         always for an unbounded log, and for a bounded one whenever the
         ``n`` new events still fit under the bound (the common case: the

@@ -15,8 +15,8 @@ KEY = b"libos-test-signing-key"
 
 
 def make_runtime(max_threads=4, enclave_size="512M", exitless=False, seed=5,
-                 start=True, bulk_mb=50):
-    host = paper_testbed_host(seed=seed)
+                 start=True, bulk_mb=50, event_log_capacity=None):
+    host = paper_testbed_host(seed=seed, event_log_capacity=event_log_capacity)
     epc = EpcManager(host.total_epc_bytes, host.cpu, host.rng)
     pal = PlatformAdaptationLayer(host, epc, AesmDaemon("plat"))
     image, _ = oai_base_image("eudm-aka", bulk_mb=bulk_mb)

@@ -3,13 +3,16 @@
 The profiler-guided rewrite turned several per-block / per-call loops
 into single bulk passes: MILENAGE ``generate``/``f2345`` run all post-TEMP
 block encryptions as one ECB batch, AES-CMAC folds its chain into one
-zero-IV CBC pass, and the SBI codec serializes flat bodies without
-``json.dumps``.  Each rewrite must be **byte-for-byte** identical to the
+zero-IV CBC pass, the SBI codec serializes flat bodies without
+``json.dumps``, and a compiled Gramine syscall profile replays its OCALLs
+in one fused pass (recording one run instead of a span per OCALL under an
+armed tracer).  Each rewrite must be **byte-for-byte** identical to the
 scalar form — these tests pin that by re-deriving every output the slow,
 literal way (per-block encryptions, spec-order rotations, ``json``
-itself) and comparing exact bytes.
+itself, one ``syscall`` per OCALL) and comparing exact results.
 """
 
+import dataclasses
 import json
 
 from hypothesis import given, settings
@@ -215,3 +218,123 @@ def test_dumps_flat_fallback_still_matches_json(payload):
     # Rich payloads (escapes, non-ASCII keys, floats, nesting) must take
     # the json fallback and stay byte-identical too.
     assert dumps_flat(payload) == json.dumps(payload, sort_keys=True).encode()
+
+
+# --- compiled Gramine profile vs the per-call syscall loop -------------
+
+_SYSCALLS = (
+    "read", "write", "epoll_wait", "sendmsg", "recvmsg", "openat", "close",
+)
+_syscall_specs = st.lists(
+    st.tuples(
+        st.sampled_from(_SYSCALLS),
+        st.integers(min_value=0, max_value=4096),
+        st.integers(min_value=0, max_value=4096),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+def _span_rows(root):
+    """A span tree read attribute by attribute, without ``to_dict``."""
+    return [
+        (span.name, span.kind, span.start_ns, span.end_ns, dict(span.tags),
+         span.trace_id, span.span_id, span.parent_id, len(span.children))
+        for span in root.walk()
+    ]
+
+
+def _traced_replays(compiled, specs, replays, mode, seed, capacity):
+    """Replay ``specs`` under an armed tracer the way ``Gnb.register``
+    drives a traced registration; returns everything observable."""
+    from repro.obs.trace import TraceStore, Tracer
+    from tests.gramine.test_libos import make_runtime
+
+    runtime = make_runtime(
+        seed=seed,
+        exitless=mode == "exitless",
+        enclave_size="1G" if mode == "pressure" else "512M",
+        bulk_mb=1,
+        event_log_capacity=capacity,
+    )
+    host = runtime.host
+    # "sampled" head-samples nothing: healthy traces are recycled unread
+    # and failed ones kept, alternating (see the offer below).
+    store = (
+        None if mode == "storeless"
+        else TraceStore(sample_every=2**40 if mode == "sampled" else 1)
+    )
+    tracer = Tracer(
+        host.clock,
+        trace_seed=None if mode == "seedless" else seed,
+        store=store,
+    )
+    host.tracer = tracer
+    handle = runtime.compile_syscalls(specs)
+
+    def replay():
+        if compiled:
+            runtime.syscall_profile(handle)
+        else:
+            for name, bytes_out, bytes_in in specs:
+                runtime.syscall(name, bytes_out, bytes_in)
+
+    for attempt in range(replays):
+        trace_id = tracer.start_trace(f"imsi-00101{attempt:010d}")
+        root = nas = None
+        if mode != "no_span":
+            root = tracer.begin("registration", kind="registration", ue="ue")
+            nas = tracer.begin("RegistrationRequest", kind="nas", round=1)
+        replay()
+        if nas is not None:
+            tracer.end(nas)
+        # A second run under the root: span ids continue after the first.
+        replay()
+        if root is not None:
+            tracer.end(root, success=True)
+        tracer.end_trace()
+        if trace_id is not None and root is not None and store is not None:
+            store.offer(
+                root, trace_id, supi="imsi", attempt=attempt + 1,
+                success=mode != "sampled" or attempt % 2 == 0,
+                sojourn_ns=root.ns,
+            )
+            tracer.recycle(root)
+    host.tracer = None
+    stats = runtime.enclave.stats
+    return {
+        "clock_ns": host.clock.now_ns,
+        "stats": dataclasses.asdict(stats),
+        "ocalls_by_syscall": list(stats.ocalls_by_syscall.items()),
+        "events": [(e.timestamp_ns, e.category, e.detail) for e in host.events],
+        "roots": [_span_rows(root) for root in tracer.roots],
+        "store": store.to_dict() if store is not None else None,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    specs=_syscall_specs,
+    replays=st.integers(min_value=2, max_value=4),
+    mode=st.sampled_from((
+        "kept", "sampled", "storeless", "no_span", "seedless", "exitless",
+        "pressure",
+    )),
+    seed=st.integers(min_value=0, max_value=3),
+    capacity=st.sampled_from((None, 480)),
+)
+def test_compiled_profile_under_armed_tracer_matches_per_call(
+    specs, replays, mode, seed, capacity
+):
+    # capacity=480 bounds the event log just above the 472-event start-up
+    # burst, so replays cross the trim and take the per-event emission path.
+    compiled = _traced_replays(True, specs, replays, mode, seed, capacity)
+    reference = _traced_replays(False, specs, replays, mode, seed, capacity)
+    assert compiled == reference
+    if mode in ("kept", "exitless", "pressure"):
+        assert compiled["store"]["kept_head"] == replays
+    if mode == "sampled":
+        assert compiled["store"]["kept_tail"] == replays // 2
+    if mode in ("storeless", "no_span", "seedless"):
+        assert compiled["roots"]
