@@ -29,11 +29,13 @@ appends to the ``runs`` history so regressions are visible in the diff.
 Usage::
 
     PYTHONPATH=src python benchmarks/host_perf.py [--suite] [--label TEXT]
-        [--quick] [--fail-below REGS_PER_S]
+        [--quick] [--fail-below REGS_PER_S] [--overhead-gate NAME=PCT ...]
 
 ``--quick`` shrinks the batches to CI-smoke scale and skips the history
 file (so smoke runs never pollute the committed numbers); ``--fail-below``
-turns the registrations/s measurement into a regression gate.
+turns the registrations/s measurement into a regression gate, and each
+``--overhead-gate`` measures one named paired overhead (``OVERHEAD_ARMS``)
+and fails above its budget.
 """
 
 from __future__ import annotations
@@ -307,167 +309,111 @@ def _paired_overhead(arm, registrations: int) -> dict:
     return {"registrations": registrations, **_overhead_estimate(bases, deltas)}
 
 
-def measure_tracer_overhead(registrations: int = OVERHEAD_REGISTRATIONS) -> dict:
-    """Host-time cost of the *disabled* instrumentation hooks.
+# Overhead arms: what each one installs on the armed twin.
 
-    Compares registrations with ``host.tracer = None`` (the default)
-    against an attached-but-disabled ``Tracer`` — the worst case for the
-    always-on guard checks (one per syscall-profile replay and per
-    uncompiled OCALL; 261 OCALLs per registration).
-    """
+
+def _arm_tracer(tb) -> None:
+    """An attached-but-disabled ``Tracer`` vs ``host.tracer = None``: the
+    worst case for the always-on guard checks (one per syscall-profile
+    replay and per uncompiled OCALL; 261 OCALLs per registration)."""
     from repro.obs.trace import Tracer
 
-    result = _paired_overhead(
-        lambda tb: setattr(tb.host, "tracer", Tracer(tb.host.clock, enabled=False)),
-        registrations,
-    )
-    return {
-        "registrations": result["registrations"],
-        "trimmed_pairs": result["trimmed_pairs"],
-        "tracer_none_wall_s": result["base_wall_s"],
-        "tracer_disabled_wall_s": result["armed_wall_s"],
-        "disabled_overhead_percent": result["overhead_percent"],
-    }
+    tb.host.tracer = Tracer(tb.host.clock, enabled=False)
 
 
-def measure_monitor_overhead(registrations: int = OVERHEAD_REGISTRATIONS) -> dict:
-    """Host-time cost of an *armed* continuous-monitoring scraper.
-
-    Compares registrations with ``host.monitor = None`` (the default)
-    against a fully installed :class:`~repro.obs.scrape.Scraper` on the
-    standard 1 s simulated-time cadence — hook checks on every
-    registration plus whatever scrapes actually land on the timeline.
-    """
+def _arm_monitor(tb) -> None:
+    """A :class:`~repro.obs.scrape.Scraper` on the standard 1 s cadence:
+    hook checks on every registration plus the scrapes that land."""
     from repro.obs.scrape import Scraper
 
-    result = _paired_overhead(
-        lambda tb: Scraper.for_testbed(tb, cadence_s=1.0).install(tb.host),
-        registrations,
-    )
-    return {
-        "registrations": result["registrations"],
-        "trimmed_pairs": result["trimmed_pairs"],
-        "monitor_none_wall_s": result["base_wall_s"],
-        "monitor_armed_wall_s": result["armed_wall_s"],
-        "armed_overhead_percent": result["overhead_percent"],
-    }
+    Scraper.for_testbed(tb, cadence_s=1.0).install(tb.host)
 
 
-def measure_attack_overhead(registrations: int = OVERHEAD_REGISTRATIONS) -> dict:
-    """Host-time cost of the quiescent attack plane on legit traffic.
-
-    Compares registrations on an untouched testbed against one carrying
-    the whole adversarial apparatus at rest: an armed-but-permissive
-    :class:`~repro.fivegc.admission.AdmissionController` (every arrival
-    checked, none shed — strictly more work than the disarmed ``None``
-    fast path) plus a provisioned :class:`~repro.security.attacks
-    .AttackPlane` executing no events.  Gates the admission hook added
-    to the AMF's NAS dispatch.
-    """
+def _arm_attack(tb) -> None:
+    """The adversarial apparatus at rest: an armed-but-permissive
+    admission controller (every arrival checked, none shed) plus a
+    provisioned attack plane executing no events."""
     from repro.fivegc.admission import AdmissionConfig, AdmissionController
     from repro.security.attacks import AttackPlane
 
-    def arm(tb) -> None:
-        tb.amf.admission = AdmissionController(AdmissionConfig())
-        AttackPlane(tb)
-
-    result = _paired_overhead(arm, registrations)
-    return {
-        "registrations": result["registrations"],
-        "trimmed_pairs": result["trimmed_pairs"],
-        "plane_none_wall_s": result["base_wall_s"],
-        "plane_quiescent_wall_s": result["armed_wall_s"],
-        "quiescent_overhead_percent": result["overhead_percent"],
-    }
+    tb.amf.admission = AdmissionController(AdmissionConfig())
+    AttackPlane(tb)
 
 
-def measure_traces_overhead(registrations: int = OVERHEAD_REGISTRATIONS) -> dict:
-    """Host-time cost of the quiescent distributed-tracing apparatus.
-
-    Compares registrations on an untouched testbed against one carrying
-    a disabled :class:`~repro.obs.trace.Tracer` that is provisioned for
-    distributed tracing — ``trace_seed`` set and a
-    :class:`~repro.obs.trace.TraceStore` attached.  Every hook sees a
-    non-``None`` tracer and must consult ``enabled`` to skip it (the
-    worst case for the guard checks, now with the heavier distributed
-    -tracing state behind them); no spans open and nothing is stored.
-    This gates the price the trace-context machinery adds to *untraced*
-    runs, which must stay within the same budget as the original
-    disabled-tracer hooks.
-    """
+def _arm_traces(tb) -> None:
+    """A disabled tracer provisioned for distributed tracing (trace seed
+    and store attached): every hook must consult ``enabled`` to skip it,
+    no spans open and nothing is stored."""
     from repro.obs.trace import TraceStore, Tracer
 
-    def arm(tb) -> None:
-        tb.host.tracer = Tracer(
-            tb.host.clock,
-            enabled=False,
-            trace_seed=7,
-            store=TraceStore(cap=512, sample_every=8),
-        )
-
-    result = _paired_overhead(arm, registrations)
-    return {
-        "registrations": result["registrations"],
-        "trimmed_pairs": result["trimmed_pairs"],
-        "traces_none_wall_s": result["base_wall_s"],
-        "traces_quiescent_wall_s": result["armed_wall_s"],
-        "quiescent_overhead_percent": result["overhead_percent"],
-    }
+    tb.host.tracer = Tracer(
+        tb.host.clock,
+        enabled=False,
+        trace_seed=7,
+        store=TraceStore(cap=512, sample_every=8),
+    )
 
 
-def measure_armed_traces_overhead(
-    registrations: int = OVERHEAD_REGISTRATIONS,
-) -> dict:
-    """Host-time cost of distributed tracing left on.
-
-    Compares registrations on an untouched testbed against one carrying
-    an *enabled* :class:`~repro.obs.trace.Tracer` with a ``trace_seed``
-    and a :class:`~repro.obs.trace.TraceStore` keeping one healthy trace
-    in 8 — the campaign configuration.  A tracked number, not a gate.
-    """
+def _arm_armed_traces(tb) -> None:
+    """Distributed tracing left on: an enabled seeded tracer whose store
+    keeps one healthy trace in 8 (the campaign configuration)."""
     from repro.obs.trace import TraceStore, Tracer
 
-    def arm(tb) -> None:
-        tb.host.tracer = Tracer(
-            tb.host.clock, trace_seed=7, store=TraceStore(sample_every=8)
-        )
-
-    result = _paired_overhead(arm, registrations)
-    return {
-        "registrations": result["registrations"],
-        "trimmed_pairs": result["trimmed_pairs"],
-        "traces_none_wall_s": result["base_wall_s"],
-        "traces_armed_wall_s": result["armed_wall_s"],
-        "armed_overhead_percent": result["overhead_percent"],
-    }
+    tb.host.tracer = Tracer(
+        tb.host.clock, trace_seed=7, store=TraceStore(sample_every=8)
+    )
 
 
-def measure_detect_overhead(registrations: int = OVERHEAD_REGISTRATIONS) -> dict:
-    """Host-time cost of the full armed-but-quiet detection loop.
-
-    Compares registrations on an untouched testbed against one carrying
-    the whole PR 9 closed loop at rest: an installed 1 s-cadence
-    :class:`~repro.obs.scrape.Scraper` with a subscribed
-    :class:`~repro.obs.detect.AdmissionGovernor` classifying every
-    scrape over quiet legitimate traffic.  The governor never arms (no
-    storm, no burn), so this gates the price of *watching*: scrape hooks
-    plus per-scrape verdicts on the live Tsdb.
-    """
+def _arm_detect(tb) -> None:
+    """The armed-but-quiet detection loop: a 1 s scraper with a subscribed
+    classifying governor over quiet legitimate traffic (it never arms)."""
     from repro.obs.detect import AdmissionGovernor, AttackClassifier
     from repro.obs.scrape import Scraper
 
-    def arm(tb) -> None:
-        scraper = Scraper.for_testbed(tb, cadence_s=1.0).install(tb.host)
-        scraper.subscribe(AdmissionGovernor(tb.amf, AttackClassifier()))
+    scraper = Scraper.for_testbed(tb, cadence_s=1.0).install(tb.host)
+    scraper.subscribe(AdmissionGovernor(tb.amf, AttackClassifier()))
 
-    result = _paired_overhead(arm, registrations)
-    return {
-        "registrations": result["registrations"],
-        "trimmed_pairs": result["trimmed_pairs"],
-        "detect_none_wall_s": result["base_wall_s"],
-        "detect_armed_wall_s": result["armed_wall_s"],
-        "armed_quiet_overhead_percent": result["overhead_percent"],
-    }
+
+#: Paired-overhead arms by name.  ``armed_traces`` is measured in every
+#: entry (a tracked number); the others run when ``--overhead-gate``
+#: names them.  Each lands in the entry as ``<name>_overhead``.
+OVERHEAD_ARMS = {
+    "tracer": _arm_tracer,
+    "monitor": _arm_monitor,
+    "attack": _arm_attack,
+    "traces": _arm_traces,
+    "detect": _arm_detect,
+    "armed_traces": _arm_armed_traces,
+}
+
+
+def _overhead_gate(text: str):
+    """``NAME=PCT`` -> ``(NAME, PCT)`` for ``--overhead-gate``."""
+    name, sep, percent = text.partition("=")
+    if not sep or name not in OVERHEAD_ARMS:
+        raise argparse.ArgumentTypeError(
+            f"expected NAME=PCT with NAME one of {', '.join(OVERHEAD_ARMS)}; "
+            f"got {text!r}"
+        )
+    try:
+        return name, float(percent)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"PCT must be a number; got {percent!r} in {text!r}"
+        ) from None
+
+
+def _failed_gates(run: dict, gates: dict) -> list:
+    """One message per gated overhead above its budget."""
+    failures = []
+    for name, budget in gates.items():
+        overhead = run[f"{name}_overhead"]["overhead_percent"]
+        if overhead > budget:
+            failures.append(
+                f"FAIL: {name} overhead {overhead}% exceeds the "
+                f"--overhead-gate budget of {budget}%"
+            )
+    return failures
 
 
 def measure_suite() -> dict:
@@ -558,47 +504,14 @@ def main(argv=None) -> int:
         "bites where the hardware can actually deliver it",
     )
     parser.add_argument(
-        "--tracer-gate",
-        type=float,
-        default=None,
-        metavar="PERCENT",
-        help="measure disabled-tracer hook overhead and exit non-zero if "
-        "it exceeds this percentage (ISSUE 4 budget: 3)",
-    )
-    parser.add_argument(
-        "--monitor-gate",
-        type=float,
-        default=None,
-        metavar="PERCENT",
-        help="measure armed-scraper monitoring overhead and exit non-zero "
-        "if it exceeds this percentage (ISSUE 5 budget: 3)",
-    )
-    parser.add_argument(
-        "--attack-gate",
-        type=float,
-        default=None,
-        metavar="PERCENT",
-        help="measure quiescent attack-plane/admission overhead on legit "
-        "registrations and exit non-zero if it exceeds this percentage "
-        "(ISSUE 8 budget: 2)",
-    )
-    parser.add_argument(
-        "--traces-gate",
-        type=float,
-        default=None,
-        metavar="PERCENT",
-        help="measure the quiescent distributed-tracing apparatus "
-        "(disabled tracer with trace seed + store attached) and exit "
-        "non-zero if it exceeds this percentage (ISSUE 10 budget: 3)",
-    )
-    parser.add_argument(
-        "--detect-gate",
-        type=float,
-        default=None,
-        metavar="PERCENT",
-        help="measure the armed-but-quiet detection loop (scraper + "
-        "classifying governor, no storm) and exit non-zero if it exceeds "
-        "this percentage (ISSUE 9 budget: 2)",
+        "--overhead-gate",
+        type=_overhead_gate,
+        action="append",
+        default=[],
+        metavar="NAME=PCT",
+        help="measure the named paired host-time overhead and exit non-zero "
+        "if it exceeds PCT percent; repeatable.  NAME is one of "
+        f"{', '.join(OVERHEAD_ARMS)}",
     )
     args = parser.parse_args(argv)
 
@@ -625,17 +538,11 @@ def main(argv=None) -> int:
     # estimator needs ~150 pairs for a stable trimmed mean, and --quick
     # shrinking them would just make the gate flaky.  The armed-tracing
     # cost is tracked in every entry.
-    run["armed_traces_overhead"] = measure_armed_traces_overhead()
-    if args.tracer_gate is not None:
-        run["tracer_overhead"] = measure_tracer_overhead()
-    if args.monitor_gate is not None:
-        run["monitor_overhead"] = measure_monitor_overhead()
-    if args.attack_gate is not None:
-        run["attack_overhead"] = measure_attack_overhead()
-    if args.traces_gate is not None:
-        run["traces_overhead"] = measure_traces_overhead()
-    if args.detect_gate is not None:
-        run["detect_overhead"] = measure_detect_overhead()
+    gates = dict(args.overhead_gate)
+    for name in dict.fromkeys(("armed_traces", *gates)):
+        run[f"{name}_overhead"] = _paired_overhead(
+            OVERHEAD_ARMS[name], OVERHEAD_REGISTRATIONS
+        )
     if args.suite:
         run.update(measure_suite())
 
@@ -694,52 +601,10 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-    if args.tracer_gate is not None:
-        overhead = run["tracer_overhead"]["disabled_overhead_percent"]
-        if overhead > args.tracer_gate:
-            print(
-                f"FAIL: disabled-tracer hook overhead {overhead}% exceeds "
-                f"the --tracer-gate budget of {args.tracer_gate}%",
-                file=sys.stderr,
-            )
-            return 1
-    if args.monitor_gate is not None:
-        overhead = run["monitor_overhead"]["armed_overhead_percent"]
-        if overhead > args.monitor_gate:
-            print(
-                f"FAIL: armed-scraper monitoring overhead {overhead}% exceeds "
-                f"the --monitor-gate budget of {args.monitor_gate}%",
-                file=sys.stderr,
-            )
-            return 1
-    if args.attack_gate is not None:
-        overhead = run["attack_overhead"]["quiescent_overhead_percent"]
-        if overhead > args.attack_gate:
-            print(
-                f"FAIL: quiescent attack-plane overhead {overhead}% exceeds "
-                f"the --attack-gate budget of {args.attack_gate}%",
-                file=sys.stderr,
-            )
-            return 1
-    if args.traces_gate is not None:
-        overhead = run["traces_overhead"]["quiescent_overhead_percent"]
-        if overhead > args.traces_gate:
-            print(
-                f"FAIL: quiescent distributed-tracing overhead {overhead}% "
-                f"exceeds the --traces-gate budget of {args.traces_gate}%",
-                file=sys.stderr,
-            )
-            return 1
-    if args.detect_gate is not None:
-        overhead = run["detect_overhead"]["armed_quiet_overhead_percent"]
-        if overhead > args.detect_gate:
-            print(
-                f"FAIL: armed-but-quiet detection overhead {overhead}% "
-                f"exceeds the --detect-gate budget of {args.detect_gate}%",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+    failures = _failed_gates(run, gates)
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

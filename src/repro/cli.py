@@ -388,44 +388,46 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _profile_selftest() -> int:
-    """Profiler self-check used by CI: the collapsed-stack totals must
-    agree bit-for-bit with the span-derived Table III decomposition."""
+    """Profiler self-check used by CI: the fold is lossless and its
+    span-counted EENTER/EEXIT/OCALL equal the enclaves' SgxStats."""
     from repro.obs.flame import parse_collapsed_text
-    from repro.obs.profile import profile_registration
     from repro.paka.deploy import IsolationMode
     from repro.testbed import Testbed, TestbedConfig
 
     testbed = Testbed.build(TestbedConfig(isolation=IsolationMode.SGX, seed=0))
     testbed.register(testbed.add_subscriber())  # warm-up (steady state)
-    profile, trace = profile_registration(testbed)
+    trace = testbed.trace_registration()
+    fold = trace.fold
 
     failures = []
     if not trace.outcome.success:
         failures.append(f"registration failed: {trace.outcome.failure_cause}")
-    errors = profile.agreement_errors()
-    for key, detail in sorted(errors.items()):
-        failures.append(f"profile/breakdown disagree on {key}: {detail}")
-    if profile.total_ns != profile.root.ns:
-        failures.append(
-            f"folded self-times sum to {profile.total_ns} ns, "
-            f"span tree covers {profile.root.ns} ns"
-        )
-    text = profile.collapsed()
-    if parse_collapsed_text(text) != profile.stacks:
-        failures.append("collapsed text did not round-trip")
-    for module, row in profile.modules.items():
+    for module, row in sorted(fold.modules.items()):
+        delta = trace.stats_delta[module]
+        for key in ("eenters", "eexits", "ocalls"):
+            if row[key] != getattr(delta, key):
+                failures.append(
+                    f"{module}.{key}: spans={row[key]} "
+                    f"SgxStats={getattr(delta, key)}"
+                )
         if row["eenters"] <= 0:
             failures.append(f"{module}: no EENTERs attributed")
+    if fold.total_ns != trace.root.ns:
+        failures.append(
+            f"folded self-times sum to {fold.total_ns} ns, "
+            f"span tree covers {trace.root.ns} ns"
+        )
+    if parse_collapsed_text(fold.collapsed()) != fold.stacks:
+        failures.append("collapsed text did not round-trip")
 
     if failures:
         for failure in failures:
             print(f"profile selftest FAILED: {failure}", file=sys.stderr)
         return 1
     print(
-        f"profile selftest OK ({len(profile.stacks)} stacks, "
-        f"{profile.total_ns} ns folded, "
-        f"{len(profile.modules)} modules bit-identical to the trace "
-        "breakdown)"
+        f"profile selftest OK ({len(fold.stacks)} stacks, "
+        f"{fold.total_ns} ns folded, {len(fold.modules)} modules' "
+        "span-counted EENTER/EEXIT/OCALL equal to SgxStats)"
     )
     return 0
 
@@ -437,7 +439,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     import json
 
-    from repro.obs.profile import profile_registration
     from repro.paka.deploy import IsolationMode
     from repro.testbed import Testbed, TestbedConfig
 
@@ -445,16 +446,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     testbed = Testbed.build(TestbedConfig(isolation=isolation, seed=args.seed))
     for _ in range(args.warmup):
         testbed.register(testbed.add_subscriber())
-    profile, trace = profile_registration(testbed)
-    errors = profile.agreement_errors()
-    if errors:
-        for key, detail in sorted(errors.items()):
-            print(f"profile/breakdown disagree on {key}: {detail}", file=sys.stderr)
-        return 1
+    trace = testbed.trace_registration()
+    fold = trace.fold
 
     if args.collapsed:
         # Folded stacks, pipe into flamegraph.pl / load into speedscope.
-        print(profile.collapsed(), end="")
+        print(fold.collapsed(), end="")
         return 0 if trace.outcome.success else 1
     if args.json:
         payload = {
@@ -463,29 +460,32 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 "session_setup_ms": trace.outcome.session_setup_ms,
                 "nas_exchanges": trace.outcome.nas_exchanges,
             },
-            "total_ns": profile.total_ns,
-            "modules": profile.modules,
+            "total_ns": fold.total_ns,
+            "modules": fold.modules,
             "breakdown": trace.breakdown,
             "stacks": [
-                {"stack": list(stack), "ns": profile.stacks[stack]}
-                for stack in sorted(profile.stacks)
+                {"stack": list(stack), "ns": fold.stacks[stack]}
+                for stack in sorted(fold.stacks)
             ],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0 if trace.outcome.success else 1
 
     print(
-        f"registration folded: {profile.total_ns / 1e6:.2f} ms over "
-        f"{len(profile.stacks)} stacks"
+        f"registration folded: {fold.total_ns / 1e6:.2f} ms over "
+        f"{len(fold.stacks)} stacks"
     )
-    if profile.modules:
+    shielded = {
+        module: row for module, row in trace.breakdown.items() if row["ocalls"]
+    }
+    if shielded:
         print("Per-module SGX cost attribution (Table III from the fold):")
         header = (
             f"  {'module':<8} {'EENTER':>7} {'EEXIT':>7} {'OCALLs':>7} "
             f"{'trans us':>9} {'shield us':>10} {'copy us':>9} {'host us':>9}"
         )
         print(header)
-        for module, row in sorted(profile.modules.items()):
+        for module, row in sorted(shielded.items()):
             print(
                 f"  {module:<8} {row['eenters']:>7} {row['eexits']:>7} "
                 f"{row['ocalls']:>7} {row['transition_us']:>9.1f} "
@@ -693,19 +693,18 @@ def _traces_selftest() -> int:
     Runs the undefended 400/s queueing collapse with tracing armed and
     asserts the full pipeline: the sojourn SLO alert cites exemplar
     trace ids, at least one cited id resolves to a complete cross-NF
-    tree in the store, the tree's integer-ns per-module decomposition
-    agrees exactly with the float-µs ``registration_breakdown``
-    (``round(us * 1000) == ns`` for every figure), and tracing spent
-    zero simulated nanoseconds (traced and untraced arms end on the
-    same clock reading).  The JSON document on stdout is deterministic —
-    CI runs the command twice and ``cmp``s the bytes; status lines go
-    to stderr.
+    tree in the store, every stored tree folds losslessly (its folded
+    stack self times sum exactly to the root span's duration), and
+    tracing spent zero simulated nanoseconds (traced and untraced arms
+    end on the same clock reading).  The JSON document on stdout is
+    deterministic — CI runs the command twice and ``cmp``s the bytes;
+    status lines go to stderr.
     """
     import json
 
     from repro.experiments.survivability import _run_arm
-    from repro.obs.analytics import registration_breakdown_ns, slowest_traces_digest
-    from repro.obs.trace import registration_breakdown, span_from_dict
+    from repro.obs.analytics import fold_registration, slowest_traces_digest
+    from repro.obs.trace import span_from_dict
 
     failures: List[str] = []
     kwargs = dict(legit=12, horizon_s=5.0, seed=29)
@@ -746,9 +745,8 @@ def _traces_selftest() -> int:
         failures.append("no cited exemplar trace id resolved in the store")
     for record in resolved[:1]:
         servers = {
-            str(node["tags"].get("server"))
-            for node in _walk_tree(record["root"])
-            if node["kind"] == "sbi.server"
+            str(span.tags.get("server"))
+            for span in span_from_dict(record["root"]).find("sbi.server")
         }
         missing = set(module_servers.values()) - servers
         if missing:
@@ -757,39 +755,20 @@ def _traces_selftest() -> int:
                 f"{', '.join(sorted(missing))}"
             )
 
-    # Integer-ns analytics must agree exactly with the float-µs
-    # breakdown on every stored tree: round(us * 1000) == ns.
+    # Every stored tree must fold losslessly: the folded stacks' self
+    # times sum exactly to the root span's duration.
     checked = 0
     for record in store_dump.get("records", ()):
-        ns = registration_breakdown_ns(
-            record["root"], module_servers, module_runtimes
-        )
-        us = registration_breakdown(
+        folded_ns = fold_registration(
             span_from_dict(record["root"]), module_servers, module_runtimes
-        )
-        for module, row_ns in ns.items():
-            row_us = us[module]
-            pairs = [
-                ("lf", "lf_us", "lf_ns"), ("lt", "lt_us", "lt_ns"),
-                ("ln", "ln_us", "ln_ns"), ("r", "r_us", "r_ns"),
-                ("shield", "shield_us", "shield_ns"),
-                ("copy", "copy_us", "copy_ns"),
-                ("host", "host_us", "host_ns"),
-                ("transition", "transition_us", "transition_ns"),
-            ]
-            for label, us_key, ns_key in pairs:
-                if round(row_us[us_key] * 1000) != row_ns[ns_key]:
-                    failures.append(
-                        f"{record['trace_id'][:8]} {module} {label}: "
-                        f"us {row_us[us_key]} !~ ns {row_ns[ns_key]}"
-                    )
-            for count_key in ("requests", "eenters", "eexits", "ocalls"):
-                if row_us[count_key] != row_ns[count_key]:
-                    failures.append(
-                        f"{record['trace_id'][:8]} {module} {count_key}: "
-                        f"{row_us[count_key]} != {row_ns[count_key]}"
-                    )
-        checked += 1
+        ).total_ns
+        if folded_ns == record["duration_ns"]:
+            checked += 1
+        else:
+            failures.append(
+                f"{record['trace_id'][:8]}: folded stacks sum to "
+                f"{folded_ns} ns, duration {record['duration_ns']} ns"
+            )
     if not checked:
         failures.append("trace store kept no records to cross-check")
     if store_dump.get("kept_tail", 0) < 1:
@@ -830,16 +809,10 @@ def _traces_selftest() -> int:
         f"traces selftest OK ({store_dump['seen']} traces seen, "
         f"{len(store_dump['records'])} kept "
         f"({store_dump['kept_tail']} tail), {len(cited)} cited, "
-        f"{checked} trees cross-checked exactly)",
+        f"{checked} trees folded losslessly)",
         file=sys.stderr,
     )
     return 0
-
-
-def _walk_tree(node: Dict[str, object]):
-    yield node
-    for child in node["children"]:
-        yield from _walk_tree(child)
 
 
 def _cmd_traces(args: argparse.Namespace) -> int:
@@ -1055,7 +1028,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--selftest", action="store_true",
-        help="profiler-vs-trace exactness self-check (used by CI)",
+        help="profiler self-check: lossless fold, span-counted "
+        "EENTER/EEXIT/OCALL equal to SgxStats (used by CI)",
     )
 
     capacity = sub.add_parser(
@@ -1166,7 +1140,7 @@ def build_parser() -> argparse.ArgumentParser:
     traces.add_argument(
         "--selftest", action="store_true",
         help="tracing self-check: alert-to-trace exemplar resolution + "
-        "exact integer-ns breakdown agreement, deterministic JSON on "
+        "lossless folds of every stored tree, deterministic JSON on "
         "stdout (used by CI)",
     )
 

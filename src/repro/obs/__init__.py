@@ -23,12 +23,11 @@ arithmetic:
   query-time recording rules (``rate``/``increase``/quantiles),
 * :mod:`repro.obs.slo` — declarative objectives evaluated as
   multi-window burn-rate alerts over the Tsdb timeline,
-* :mod:`repro.obs.profile` / :mod:`repro.obs.flame` — a
-  cycle-attribution profiler folding span trees into collapsed-stack
-  flame graphs split by the shield/copy/host/transition components,
-* :mod:`repro.obs.analytics` — tail-based trace analytics over stored
-  trees: exact integer-ns per-module breakdowns, critical paths and the
-  deterministic slowest-traces digest.
+* :mod:`repro.obs.analytics` / :mod:`repro.obs.flame` — the one fold
+  of a registration span tree into exact integer-ns per-module rows and
+  collapsed-stack flame graphs split by the shield/copy/host/transition
+  components, plus critical paths and the deterministic
+  slowest-traces digest.
 
 Distributed tracing rides on the same span trees: a tracer armed with a
 ``trace_seed`` stamps deterministic ``trace_id``/``span_id`` identity on
@@ -51,8 +50,9 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.analytics import (
+    Fold,
     critical_path,
-    registration_breakdown_ns,
+    fold_registration,
     slowest_traces_digest,
 )
 from repro.obs.trace import (
@@ -61,7 +61,6 @@ from repro.obs.trace import (
     TraceStore,
     Tracer,
     parse_traceparent,
-    registration_breakdown,
     span_from_dict,
     trace_context_id,
     traceparent_of,
@@ -82,21 +81,16 @@ from repro.obs.slo import (
     default_slos,
 )
 from repro.obs.flame import collapsed_text, parse_collapsed_text
-from repro.obs.profile import (
-    RegistrationProfile,
-    fold_registration,
-    profile_registration,
-)
 
 __all__ = [
     "Alert",
     "BurnRateWindow",
     "Counter",
+    "Fold",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "RatioSlo",
-    "RegistrationProfile",
     "RegistrationTrace",
     "Scraper",
     "SloEngine",
@@ -115,9 +109,6 @@ __all__ = [
     "parse_collapsed_text",
     "parse_prometheus_text",
     "parse_traceparent",
-    "profile_registration",
-    "registration_breakdown",
-    "registration_breakdown_ns",
     "registry_from_dict",
     "registry_to_dict",
     "registry_to_json",

@@ -1,122 +1,173 @@
-"""Tail-based trace analytics over stored registration trees.
+"""One fold of a registration span tree, plus tail-based trace analytics.
 
-Consumers here work on the JSON-ready dict trees a
-:class:`~repro.obs.trace.TraceStore` snapshots (``Span.to_dict`` form),
-so they run identically on live spans, shard-worker dumps and
-re-loaded artifacts.  Three extractions:
+Every per-module number the paper's tables decompose comes from
+:func:`fold_registration`, one recursive pass over a :class:`Span` tree
+(stored dict trees go through :func:`~repro.obs.trace.span_from_dict`
+first).  It returns a :class:`Fold`:
 
-* :func:`registration_breakdown_ns` — the per-module decomposition of
-  :func:`~repro.obs.trace.registration_breakdown` in exact integer
-  nanoseconds.  Span boundaries are integer clock reads, so every
-  figure here is exact; the float-µs breakdown is the same sums divided
-  by 1000, and the two must agree at ``round(us * 1000) == ns`` — a
-  cross-check the traces selftest asserts.
-* :func:`critical_path` — the root→leaf chain that dominates a trace's
-  duration (largest child by span length at every level; ties break on
-  earliest start, then tree order).
-* :func:`slowest_traces_digest` — a deterministic, JSON-stable digest
-  of a store's slowest traces with their critical paths, the artifact
-  EXPERIMENTS.md E-TRACE2 commits and CI byte-compares across
-  ``--jobs``.
+* per-module rows in exact integer nanoseconds — L_F, L_T and
+  ``L_N = L_T - L_F`` (Fig 9 / Table II), R (Fig 10), the
+  EENTER/EEXIT/OCALL counts (Table III) and the OCALL cost components;
+* the collapsed flame-graph stacks, whose values are exact self times
+  in simulated nanoseconds, with every OCALL split into its
+  ``transition`` / ``shield`` / ``copy`` / ``host`` sub-frames.
+
+The attribution rules live only here:
+
+* an ``sbi.server`` span (``server`` tag) adds one request, its ``L_T``
+  child's length to ``lt_ns`` and that child's ``L_F`` child's length
+  to ``lf_ns``; a server span without an ``L_T`` child counts nothing;
+* an ``sbi.request`` span (``dst`` tag) adds its length to ``r_ns``;
+* an ``sgx.ocall`` span (``runtime`` tag) counts one OCALL, plus one
+  EENTER and one EEXIT unless tagged ``exitless``, and adds its
+  ``*_ns`` component tags (an exitless OCALL carries no
+  ``transition_ns``).
+
+Span boundaries are integer clock reads, so every figure is exact; the
+float-µs view (:meth:`Fold.breakdown_us`) is each ns figure divided by
+1000.  Also here: :func:`critical_path` (the root→leaf chain that
+dominates a trace) and :func:`slowest_traces_digest` (the JSON-stable
+digest EXPERIMENTS.md E-TRACE2 commits and CI byte-compares across
+``--jobs``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+
+from repro.obs.flame import StackKey, collapsed_text, sanitize_frame
+from repro.obs.trace import Span, span_from_dict
+from repro.sim.clock import NS_PER_US
 
 DIGEST_SCHEMA = 1
 
+#: Per-module row fields, in row order.  ``*_ns`` fields are integer
+#: nanoseconds; the rest are counts.
+ROW_FIELDS: Tuple[str, ...] = (
+    "lf_ns", "lt_ns", "ln_ns", "r_ns",
+    "requests", "eenters", "eexits", "ocalls",
+    "shield_ns", "copy_ns", "host_ns", "transition_ns",
+)
 
-def _as_tree(root: Any) -> Dict[str, Any]:
-    """Accept either a live Span or its ``to_dict`` tree."""
-    return root if isinstance(root, dict) else root.to_dict()
-
-
-def _walk(node: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
-    yield node
-    for child in node["children"]:
-        yield from _walk(child)
-
-
-def _node_ns(node: Mapping[str, Any]) -> int:
-    return int(node["end_ns"]) - int(node["start_ns"])
-
-
-def _child_of_kind(
-    node: Mapping[str, Any], kind: str
-) -> Optional[Dict[str, Any]]:
-    for child in node["children"]:
-        if child["kind"] == kind:
-            return child
-    return None
+#: OCALL component sub-frames, in emission order (tag name per frame).
+COMPONENT_TAGS: Tuple[Tuple[str, str], ...] = (
+    ("transition", "transition_ns"),
+    ("shield", "shield_ns"),
+    ("copy", "copy_ns"),
+    ("host", "host_ns"),
+)
 
 
-def registration_breakdown_ns(
-    root: Any,
+@dataclass
+class Fold:
+    """One registration tree folded: per-module rows + collapsed stacks."""
+
+    # Module short name -> ROW_FIELDS -> exact integer value.
+    modules: Dict[str, Dict[str, int]]
+    # Collapsed stacks: frame tuple -> exact self time in simulated ns.
+    stacks: Dict[StackKey, int]
+
+    @property
+    def total_ns(self) -> int:
+        return sum(self.stacks.values())
+
+    def collapsed(self) -> str:
+        return collapsed_text(self.stacks)
+
+    def breakdown_us(self) -> Dict[str, Dict[str, Union[int, float]]]:
+        """The rows in µs: ``x_ns`` becomes ``x_us = x_ns / 1000``."""
+        return {
+            module: {
+                (key[:-3] + "_us" if key.endswith("_ns") else key): (
+                    value / NS_PER_US if key.endswith("_ns") else value
+                )
+                for key, value in row.items()
+            }
+            for module, row in self.modules.items()
+        }
+
+
+def _frame_for(span: Span, runtime_to_module: Mapping[str, str]) -> str:
+    """Flame-graph frame label for one span."""
+    if span.kind == "sgx.ocall":
+        runtime = str(span.tags.get("runtime"))
+        module = runtime_to_module.get(runtime, runtime)
+        return sanitize_frame(f"{module}:ocall:{span.name}")
+    if not span.kind:
+        return sanitize_frame(span.name)
+    if span.name in (span.kind, "window"):
+        return sanitize_frame(span.kind)
+    return sanitize_frame(f"{span.kind}:{span.name}")
+
+
+def fold_registration(
+    root: Span,
     module_servers: Mapping[str, str],
     module_runtimes: Optional[Mapping[str, str]] = None,
-) -> Dict[str, Dict[str, int]]:
-    """Per-module decomposition of one registration tree, integer ns.
+) -> Fold:
+    """Fold one registration tree (see the module docstring for the rules).
 
-    Same traversal and attribution rules as
-    :func:`~repro.obs.trace.registration_breakdown` (L_F/L_T from the
-    server spans, R from the client spans, SGX transition costs from the
-    OCALL tags), but summing the raw integer nanoseconds — no float in
-    sight, so cross-shard digests can be byte-compared.
+    ``module_servers`` maps module short names (``eudm`` …) to their HTTP
+    server names; ``module_runtimes`` maps them to enclave runtime names
+    (the ``runtime`` tag on ``sgx.ocall`` spans).  Every module in
+    ``module_servers`` gets a row.
     """
-    tree = _as_tree(root)
     server_to_module = {server: module for module, server in module_servers.items()}
     runtime_to_module = {
         runtime: module for module, runtime in (module_runtimes or {}).items()
     }
-    breakdown: Dict[str, Dict[str, int]] = {
-        module: {
-            "lf_ns": 0, "lt_ns": 0, "ln_ns": 0, "r_ns": 0,
-            "requests": 0, "eenters": 0, "eexits": 0, "ocalls": 0,
-            "shield_ns": 0, "copy_ns": 0, "host_ns": 0,
-            "transition_ns": 0,
-        }
-        for module in module_servers
-    }
+    modules = {module: dict.fromkeys(ROW_FIELDS, 0) for module in module_servers}
+    stacks: Dict[StackKey, int] = {}
 
-    for node in _walk(tree):
-        kind = node["kind"]
-        tags = node["tags"]
-        if kind == "sbi.server":
-            module = server_to_module.get(str(tags.get("server")))
-            if module is None:
-                continue
-            row = breakdown[module]
-            lt_node = _child_of_kind(node, "L_T")
-            if lt_node is None:
-                continue
-            lf_node = _child_of_kind(lt_node, "L_F")
-            row["requests"] += 1
-            row["lt_ns"] += _node_ns(lt_node)
-            if lf_node is not None:
-                row["lf_ns"] += _node_ns(lf_node)
-            row["ln_ns"] = row["lt_ns"] - row["lf_ns"]
-        elif kind == "sbi.request":
-            module = server_to_module.get(str(tags.get("dst")))
-            if module is not None:
-                breakdown[module]["r_ns"] += _node_ns(node)
-        elif kind == "sgx.ocall":
-            module = runtime_to_module.get(str(tags.get("runtime")))
-            if module is None:
-                continue
-            row = breakdown[module]
-            row["ocalls"] += 1
-            if not tags.get("exitless"):
-                row["eenters"] += 1
-                row["eexits"] += 1
-                row["transition_ns"] += int(tags.get("transition_ns", 0))
-            row["shield_ns"] += int(tags.get("shield_ns", 0))
-            row["copy_ns"] += int(tags.get("copy_ns", 0))
-            row["host_ns"] += int(tags.get("host_ns", 0))
-    return breakdown
+    def visit(span: Span, stack: StackKey) -> None:
+        stack = stack + (_frame_for(span, runtime_to_module),)
+        kind = span.kind
+        tags = span.tags
+        if kind == "sgx.ocall":
+            row = modules.get(runtime_to_module.get(str(tags.get("runtime"))))
+            if row is not None:
+                row["ocalls"] += 1
+                if not tags.get("exitless"):
+                    row["eenters"] += 1
+                    row["eexits"] += 1
+            component_ns = 0
+            for frame, tag in COMPONENT_TAGS:
+                ns = int(tags.get(tag, 0))
+                if row is not None:
+                    row[tag] += ns
+                if ns > 0:
+                    component_ns += ns
+                    key = stack + (frame,)
+                    stacks[key] = stacks.get(key, 0) + ns
+            self_ns = span.ns - component_ns
+        else:
+            if kind == "sbi.server":
+                row = modules.get(server_to_module.get(str(tags.get("server"))))
+                lt_span = span.child_of_kind("L_T") if row is not None else None
+                if lt_span is not None:
+                    row["requests"] += 1
+                    row["lt_ns"] += lt_span.ns
+                    lf_span = lt_span.child_of_kind("L_F")
+                    if lf_span is not None:
+                        row["lf_ns"] += lf_span.ns
+            elif kind == "sbi.request":
+                row = modules.get(server_to_module.get(str(tags.get("dst"))))
+                if row is not None:
+                    row["r_ns"] += span.ns
+            self_ns = span.ns - sum(child.ns for child in span.children)
+        if self_ns > 0:
+            stacks[stack] = stacks.get(stack, 0) + self_ns
+        for child in span.children:
+            visit(child, stack)
+
+    visit(root, ())
+    for row in modules.values():
+        row["ln_ns"] = row["lt_ns"] - row["lf_ns"]
+    return Fold(modules=modules, stacks=stacks)
 
 
-def critical_path(root: Any) -> List[Dict[str, Any]]:
+def critical_path(root: Span) -> List[Dict[str, Any]]:
     """Root→leaf frames of the trace's dominant chain.
 
     At every level the longest child is taken (ties: earliest
@@ -125,27 +176,22 @@ def critical_path(root: Any) -> List[Dict[str, Any]]:
     any child, i.e. the frame's own contribution to the path.
     """
     frames: List[Dict[str, Any]] = []
-    node = _as_tree(root)
-    while node is not None:
-        children = node["children"]
+    span: Optional[Span] = root
+    while span is not None:
+        children = span.children
         frames.append({
-            "name": node["name"],
-            "kind": node["kind"],
-            "ns": _node_ns(node),
-            "self_ns": _node_ns(node) - sum(_node_ns(c) for c in children),
+            "name": span.name,
+            "kind": span.kind,
+            "ns": span.ns,
+            "self_ns": span.ns - sum(child.ns for child in children),
         })
         best = None
         for child in children:
-            if best is None:
-                best = child
-                continue
-            child_ns, best_ns = _node_ns(child), _node_ns(best)
-            if child_ns > best_ns or (
-                child_ns == best_ns
-                and int(child["start_ns"]) < int(best["start_ns"])
+            if best is None or child.ns > best.ns or (
+                child.ns == best.ns and child.start_ns < best.start_ns
             ):
                 best = child
-        node = best
+        span = best
     return frames
 
 
@@ -170,6 +216,7 @@ def slowest_traces_digest(
     )
     entries: List[Dict[str, Any]] = []
     for record in ranked[: max(0, int(top))]:
+        root = span_from_dict(record["root"])
         entry: Dict[str, Any] = {
             "trace_id": record["trace_id"],
             "supi": record["supi"],
@@ -178,14 +225,14 @@ def slowest_traces_digest(
             "reason": record["reason"],
             "sojourn_ns": int(record["sojourn_ns"]),
             "duration_ns": int(record["duration_ns"]),
-            "critical_path": critical_path(record["root"]),
+            "critical_path": critical_path(root),
         }
         if "shard" in record:
             entry["shard"] = str(record["shard"])
         if module_servers is not None:
-            entry["modules_ns"] = registration_breakdown_ns(
-                record["root"], module_servers, module_runtimes
-            )
+            entry["modules_ns"] = fold_registration(
+                root, module_servers, module_runtimes
+            ).modules
         entries.append(entry)
     return {
         "schema": DIGEST_SCHEMA,

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.obs.analytics import Fold, fold_registration
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Span, Tracer, registration_breakdown
+from repro.obs.trace import Span, Tracer
 from repro.sgx.stats import SgxStats
 
 
@@ -104,9 +105,6 @@ def collect_testbed_metrics(
     host = testbed.host
     registry.counter("sim_clock_ns_total", host=host.name).set(host.clock.now_ns)
     registry.gauge("sim_events_retained", host=host.name).set(len(host.events))
-    registry.counter("sim_ocall_events_total", host=host.name).set(
-        host.events.count("sgx.ocall")
-    )
 
     if fault_injector is not None:
         fault_injector.collect_metrics(registry)
@@ -115,15 +113,20 @@ def collect_testbed_metrics(
 
 @dataclass
 class RegistrationTrace:
-    """One traced UE registration: the span tree plus its decompositions."""
+    """One traced UE registration: the span tree plus its fold."""
 
     root: Span
     outcome: Any
-    # Per-module Fig 9 / Table II / Table III decomposition from spans.
-    breakdown: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    # Per-module integer-ns rows and flame stacks (analytics.fold_registration).
+    fold: Fold
     # Per-module SgxStats deltas over the registration (the independent
-    # counter-based view the span-derived numbers must agree with).
+    # counter-based view the span-derived counts must agree with).
     stats_delta: Dict[str, SgxStats] = field(default_factory=dict)
+
+    @property
+    def breakdown(self) -> Dict[str, Dict[str, float]]:
+        """Per-module Fig 9 / Table II / Table III decomposition in µs."""
+        return self.fold.breakdown_us()
 
 
 def trace_registration(
@@ -166,11 +169,11 @@ def trace_registration(
         name: modules[name].runtime.sgx_stats.delta(snapshot)
         for name, snapshot in before.items()
     }
-    breakdown = registration_breakdown(
+    fold = fold_registration(
         root,
         module_servers={name: m.server.name for name, m in modules.items()},
         module_runtimes={name: m.runtime.name for name, m in modules.items()},
     )
     return RegistrationTrace(
-        root=root, outcome=outcome, breakdown=breakdown, stats_delta=stats_delta
+        root=root, outcome=outcome, fold=fold, stats_delta=stats_delta
     )

@@ -1,20 +1,15 @@
-"""Trace analytics: exact integer-ns breakdowns, critical paths, the
-slowest-traces digest."""
+"""Trace analytics: the integer-ns fold and its float view, critical
+paths, the slowest-traces digest."""
 
 import json
 
 from repro.experiments.harness import warmed_testbed
 from repro.obs.analytics import (
     critical_path,
-    registration_breakdown_ns,
+    fold_registration,
     slowest_traces_digest,
 )
-from repro.obs.trace import (
-    TraceStore,
-    Tracer,
-    registration_breakdown,
-    span_from_dict,
-)
+from repro.obs.trace import TraceStore, Tracer, span_from_dict
 from repro.paka.deploy import IsolationMode
 
 
@@ -43,7 +38,7 @@ def _traced_store(seed=7, registrations=2):
 
 def test_breakdown_ns_agrees_exactly_with_the_float_breakdown():
     """round(us * 1000) == ns for every module and every figure: the
-    float-µs table is the integer-ns table divided by 1000."""
+    float-µs table is the fold's integer-ns table divided by 1000."""
     store, module_servers, module_runtimes = _traced_store()
     assert len(store) >= 1
     pairs = (
@@ -53,15 +48,16 @@ def test_breakdown_ns_agrees_exactly_with_the_float_breakdown():
         ("transition_us", "transition_ns"),
     )
     for record in store.records.values():
-        ns = registration_breakdown_ns(
-            record["root"], module_servers, module_runtimes
-        )
-        us = registration_breakdown(
+        fold = fold_registration(
             span_from_dict(record["root"]), module_servers, module_runtimes
         )
+        ns = fold.modules
+        us = fold.breakdown_us()
         assert set(ns) == set(us)
+        assert ns
         for module in ns:
             for us_key, ns_key in pairs:
+                assert us[module][us_key] == ns[module][ns_key] / 1000
                 assert round(us[module][us_key] * 1000) == ns[module][ns_key]
             for count in ("requests", "eenters", "eexits", "ocalls"):
                 assert us[module][count] == ns[module][count]
@@ -69,15 +65,17 @@ def test_breakdown_ns_agrees_exactly_with_the_float_breakdown():
 
 
 def test_breakdown_ns_accepts_live_spans_and_dict_trees():
+    """A live Span tree and its stored dict form fold identically."""
     store, module_servers, module_runtimes = _traced_store(registrations=1)
     record = next(iter(store.records.values()))
-    from_dict = registration_breakdown_ns(
-        record["root"], module_servers, module_runtimes
+    live = span_from_dict(record["root"])
+    from_span = fold_registration(live, module_servers, module_runtimes)
+    from_dict = fold_registration(
+        span_from_dict(live.to_dict()), module_servers, module_runtimes
     )
-    from_span = registration_breakdown_ns(
-        span_from_dict(record["root"]), module_servers, module_runtimes
-    )
-    assert from_dict == from_span
+    assert from_span.modules == from_dict.modules
+    assert from_span.stacks == from_dict.stacks
+    assert from_span.total_ns == live.ns
 
 
 def test_critical_path_descends_the_longest_child():
@@ -93,7 +91,7 @@ def test_critical_path_descends_the_longest_child():
              ]},
         ],
     }
-    path = critical_path(tree)
+    path = critical_path(span_from_dict(tree))
     assert [frame["name"] for frame in path] == ["root", "long", "leaf"]
     assert path[0]["ns"] == 100
     assert path[0]["self_ns"] == 100 - 30 - 60
@@ -111,7 +109,8 @@ def test_critical_path_ties_break_on_earliest_start():
              "tags": {}, "children": []},
         ],
     }
-    assert [f["name"] for f in critical_path(tree)] == ["root", "first"]
+    path = critical_path(span_from_dict(tree))
+    assert [frame["name"] for frame in path] == ["root", "first"]
 
 
 def test_digest_is_deterministic_and_ranked_by_duration():

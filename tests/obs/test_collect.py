@@ -88,3 +88,22 @@ def test_sgx_collection_includes_table3_counters():
     }
     for value in eenters.values():
         assert value > 0
+
+
+def test_counters_never_decrease_on_a_bounded_event_log():
+    """Every ``*_total`` counter is monotonic across collections, even
+    when a bounded event log trims between them."""
+    from repro.experiments.harness import warmed_testbed
+
+    testbed = warmed_testbed(IsolationMode.SGX, seed=7, event_log_capacity=500)
+    previous = {}
+    for _ in range(4):
+        testbed.register(testbed.add_subscriber(), establish_session=False)
+        current = {
+            (c.name, c.labels): c.value
+            for c in collect_testbed_metrics(testbed).counters()
+            if c.name.endswith("_total")
+        }
+        for key, value in current.items():
+            assert value >= previous.get(key, value), key
+        previous = current

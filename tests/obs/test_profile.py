@@ -1,4 +1,4 @@
-"""Profiler exactness: folded stacks agree with the span-derived tables."""
+"""Profiler: collapsed stacks from the one fold of a registration tree."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.obs.flame import (
     sanitize_frame,
     totals_by_frame,
 )
-from repro.obs.profile import fold_registration, profile_registration
+from repro.obs.analytics import fold_registration
 from repro.obs.trace import Span
 from repro.testbed import IsolationMode
 
@@ -69,33 +69,30 @@ def test_fold_splits_ocalls_into_component_subframes():
     assert profile.stacks[("registration", ocall_frame)] == 600 - 300
     assert profile.stacks[("registration",)] == 1_000 - 600
     assert profile.total_ns == 1_000
-    assert profile.module_transition_ns("eudm") == 100
-    assert profile.agreement_errors() == {}
+    row = profile.modules["eudm"]
+    assert (row["ocalls"], row["eenters"], row["eexits"]) == (1, 1, 1)
+    assert (row["transition_ns"], row["shield_ns"]) == (100, 50)
+    assert (row["copy_ns"], row["host_ns"]) == (25, 125)
 
 
-def test_profile_matches_trace_breakdown_bit_for_bit():
-    """The acceptance contract: the flame-graph fold and the span-derived
-    Table III decomposition (``repro trace``) agree exactly — counts and
-    component microseconds — on a real SGX registration."""
-    testbed = warmed_testbed(IsolationMode.SGX, seed=7)
-    profile, trace = profile_registration(testbed, establish_session=False)
+def test_real_registration_folds_losslessly():
+    """On a real SGX registration the fold conserves the root interval,
+    round-trips through collapsed text, and every shielded module shows
+    Table III activity."""
+    trace = warmed_testbed(IsolationMode.SGX, seed=7).trace_registration()
+    fold = trace.fold
     assert trace.outcome.success
-    assert profile.agreement_errors() == {}
-    # The fold is lossless: self times sum back to the root interval.
-    assert profile.total_ns == profile.root.ns
-    # Collapsed text round-trips to the identical stack map.
-    assert parse_collapsed_text(profile.collapsed()) == profile.stacks
-    # Every shielded module shows Table III activity.
-    assert sorted(profile.modules) == ["eamf", "eausf", "eudm"]
-    for module, row in profile.modules.items():
+    assert fold.total_ns == trace.root.ns
+    assert parse_collapsed_text(fold.collapsed()) == fold.stacks
+    assert sorted(fold.modules) == ["eamf", "eausf", "eudm"]
+    for module, row in fold.modules.items():
         assert row["eenters"] > 0 and row["eenters"] == row["eexits"], module
         assert row["ocalls"] >= row["eenters"], module
-        assert row["transition_us"] > 0, module
-        assert profile.module_transition_ns(module) == row["transition_ns"]
+        assert row["transition_ns"] > 0, module
 
 
 def test_profile_is_deterministic_per_seed():
-    first = profile_registration(warmed_testbed(IsolationMode.SGX, seed=11))[0]
-    second = profile_registration(warmed_testbed(IsolationMode.SGX, seed=11))[0]
+    first = warmed_testbed(IsolationMode.SGX, seed=11).trace_registration().fold
+    second = warmed_testbed(IsolationMode.SGX, seed=11).trace_registration().fold
     assert first.collapsed() == second.collapsed()
     assert first.modules == second.modules
